@@ -12,6 +12,10 @@
 //!    `wide` and `reference` rungs across row lengths, bracketing where
 //!    (or whether) the SWAR rung ever wins on GF(2⁸) — the measurement
 //!    behind `GF256_SWAR_ROW_BYTES` routing.
+//! 3. **Short rows, SIMD vs reference**: single-row axpy at 8–63 bytes and
+//!    an 18-source × 32-byte fused gather (the recoding and header
+//!    elimination shape at k = 32) — the measurement behind the GFNI
+//!    branch of `SHORT_ROW_BYTES` routing.
 //!
 //! Usage: `cargo run --release -p ag-bench --bin bench_gf_block`.
 
@@ -21,7 +25,7 @@
 
 use std::time::Instant;
 
-use ag_gf::{reference, wide, Gf256, SlabField};
+use ag_gf::{reference, simd, wide, Gf256, SlabField};
 
 fn fill(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed | 1;
@@ -85,6 +89,32 @@ fn axpy_mib_s(f: fn(u8, &[u8], &mut [u8]), len: usize, reps: usize) -> f64 {
     len as f64 / (1024.0 * 1024.0) / best
 }
 
+/// Fused-gather MiB/s (source bytes read per second) of `m` sources × `len`
+/// bytes into one row, for one gather entry point.
+fn gather_mib_s(f: fn(&[u8], &[u8], &mut [u8]), m: usize, len: usize, reps: usize) -> f64 {
+    let factors = fill(0xFAC7, m);
+    let srcs = fill(0x51C5, m * len);
+    let mut dst = fill(0x5A, len);
+    f(&factors, &srcs, &mut dst); // warm
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            f(&factors, &srcs, &mut dst);
+            std::hint::black_box(&dst);
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
+    }
+    (m * len) as f64 / (1024.0 * 1024.0) / best
+}
+
+/// The gather as a loop of reference-rung axpys.
+fn reference_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
+    for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
+        reference::gf256_mul_add_slice(f, row, dst);
+    }
+}
+
 /// Register-only GF2P8MULB throughput probes: no memory traffic, just
 /// independent multiply-xor chains, to expose the port ceiling the blocked
 /// kernel is chasing.
@@ -107,8 +137,8 @@ mod peak {
         // independent chains to cover the multiply latency.
         let mut a = [_mm512_set1_epi8(1); 16];
         for _ in 0..iters {
-            for q in 0..16 {
-                a[q] = _mm512_xor_si512(_mm512_gf2p8mul_epi8(a[q], c), d);
+            for v in &mut a {
+                *v = _mm512_xor_si512(_mm512_gf2p8mul_epi8(*v, c), d);
             }
         }
         let mut acc = a[0];
@@ -128,8 +158,8 @@ mod peak {
         let d = _mm256_set1_epi8(0x11);
         let mut a = [_mm256_set1_epi8(1); 16];
         for _ in 0..iters {
-            for q in 0..16 {
-                a[q] = _mm256_xor_si256(_mm256_gf2p8mul_epi8(a[q], c), d);
+            for v in &mut a {
+                *v = _mm256_xor_si256(_mm256_gf2p8mul_epi8(*v, c), d);
             }
         }
         let mut acc = a[0];
@@ -148,8 +178,8 @@ mod peak {
         let c = _mm512_set1_epi8(0x3B);
         let mut a = [_mm512_set1_epi8(1); 16];
         for _ in 0..iters {
-            for q in 0..16 {
-                a[q] = _mm512_gf2p8mul_epi8(a[q], c);
+            for v in &mut a {
+                *v = _mm512_gf2p8mul_epi8(*v, c);
             }
         }
         let mut acc = a[0];
@@ -168,8 +198,8 @@ mod peak {
         let m = _mm512_set1_epi64(0x0102040810204080u64 as i64);
         let mut a = [_mm512_set1_epi8(1); 16];
         for _ in 0..iters {
-            for q in 0..16 {
-                a[q] = _mm512_gf2p8affine_epi64_epi8::<0>(a[q], m);
+            for v in &mut a {
+                *v = _mm512_gf2p8affine_epi64_epi8::<0>(*v, m);
             }
         }
         let mut acc = a[0];
@@ -281,4 +311,25 @@ fn main() {
             s / r
         );
     }
+    println!(
+        "\n== short rows: simd vs reference (Gf256, simd level {}) ==",
+        simd::level_name()
+    );
+    for len in [8usize, 16, 24, 32, 48, 63] {
+        let reps = 4 * 1024 * 1024 / len;
+        let s = axpy_mib_s(simd::gf256_mul_add_slice, len, reps);
+        let r = axpy_mib_s(reference::gf256_mul_add_slice, len, reps);
+        println!(
+            "  axpy len={len:>2}: simd {s:>8.1} MiB/s   reference {r:>8.1} MiB/s   simd/ref {:.2}",
+            s / r
+        );
+    }
+    let (m, len) = (18usize, 32usize);
+    let reps = 4 * 1024 * 1024 / (m * len);
+    let s = gather_mib_s(simd::gf256_mul_add_multi, m, len, reps);
+    let r = gather_mib_s(reference_multi, m, len, reps);
+    println!(
+        "  gather {m} x {len} B: simd {s:>8.1} MiB/s   reference {r:>8.1} MiB/s   simd/ref {:.2}",
+        s / r
+    );
 }

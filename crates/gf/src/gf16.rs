@@ -141,7 +141,7 @@ impl SlabField for Gf16 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        // Short rows keep the reference kernel — see `Gf256::mul_slice`.
+        // Short rows keep the reference kernel — see `kernel::SHORT_ROW_BYTES`.
         if dst.len() < crate::kernel::SHORT_ROW_BYTES {
             return crate::reference::gf16_mul_slice(c.0, dst);
         }

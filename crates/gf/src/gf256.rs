@@ -132,6 +132,12 @@ pub(crate) fn mul_table() -> &'static [[u8; 256]; 256] {
     })
 }
 
+/// The rung a GF(2⁸) bulk operation over `row_bytes` runs on this host.
+#[inline]
+fn effective_kernel(row_bytes: usize) -> Kernel {
+    crate::kernel::gf256_effective_kernel(Kernel::active(), row_bytes, crate::simd::has_gfni())
+}
+
 impl SlabField for Gf256 {
     const SYMBOL_BYTES: usize = 1;
 
@@ -149,11 +155,11 @@ impl SlabField for Gf256 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        // Row-length routing (short rows → reference for table-build
-        // amortization, long rows demote SWAR) lives in
+        // Row-length routing (short rows → reference unless GFNI runs
+        // them, SWAR always demoted) lives in
         // `kernel::gf256_effective_kernel`; all rungs are bit-identical,
         // so this is a pure throughput decision.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), dst.len()) {
+        match effective_kernel(dst.len()) {
             Kernel::Reference => crate::reference::gf256_mul_slice(c.0, dst),
             Kernel::Swar => crate::wide::gf256_mul_slice(c.0, dst),
             Kernel::Simd => crate::simd::gf256_mul_slice(c.0, dst),
@@ -161,7 +167,7 @@ impl SlabField for Gf256 {
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), dst.len()) {
+        match effective_kernel(dst.len()) {
             Kernel::Reference => crate::reference::gf256_mul_add_slice(c.0, src, dst),
             Kernel::Swar => crate::wide::gf256_mul_add_slice(c.0, src, dst),
             Kernel::Simd => crate::simd::gf256_mul_add_slice(c.0, src, dst),
@@ -181,7 +187,7 @@ impl SlabField for Gf256 {
         // destination tile in registers across sources); reference and
         // SWAR loop single-row axpys, which is optimal for them because
         // their per-coefficient tables must be rebuilt per source anyway.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), dst.len()) {
+        match effective_kernel(dst.len()) {
             Kernel::Simd => crate::simd::gf256_mul_add_multi(factors, srcs, dst),
             _ => {
                 for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
@@ -204,7 +210,7 @@ impl SlabField for Gf256 {
         // per-destination gather loop — for them the panel cannot beat the
         // gather, since their per-coefficient tables are rebuilt per
         // (i, j) product either way.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), row_bytes) {
+        match effective_kernel(row_bytes) {
             Kernel::Simd => crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes),
             _ => {
                 for (panel_row, dst) in coefs.chunks_exact(c).zip(dsts.chunks_exact_mut(row_bytes))
@@ -227,7 +233,7 @@ impl SlabField for Gf256 {
         // The SIMD rung hoists the kernel dispatch and constant splat out
         // of the per-row loop — back-substitution scatters one short pivot
         // row onto every stored row, where per-row dispatch would dominate.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), src.len()) {
+        match effective_kernel(src.len()) {
             Kernel::Simd => crate::simd::gf256_mul_add_scatter(factors, src, dsts),
             _ => {
                 for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {

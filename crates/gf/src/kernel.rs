@@ -45,13 +45,21 @@ pub enum Kernel {
     Simd,
 }
 
-/// Rows shorter than this dispatch straight to the reference kernel
-/// regardless of the active rung: the wide rungs pay a per-multiplier
-/// nibble-table build (~30 scalar products) that only amortizes over
-/// longer rows, while the reference kernel just indexes a prebuilt
-/// 256-byte product row. Every rung computes identical bytes, so the
-/// cutoff is invisible to results — it exists purely so rank-only
-/// simulations (rows of `k` bytes) keep their PR 2 throughput.
+/// Rows shorter than this take the reference kernel instead of a wide
+/// rung wherever that rung would build per-multiplier nibble tables: the
+/// `PSHUFB` and SWAR paths pay ~30 scalar products per multiplier for
+/// their 16-entry lo/hi tables, which only amortize over longer rows,
+/// while the reference kernel just indexes a prebuilt 256-byte product
+/// row. That holds for GF(2⁴) on every host and for GF(2⁸) on hosts
+/// without GFNI. With GFNI, `GF2P8MULB` multiplies by a broadcast constant
+/// with no table at all, and the GFNI kernels in [`crate::simd`] finish
+/// what whole vectors leave of a row with two overlapping register
+/// windows (the product table only below 4 bytes). The
+/// `bench_gf_block` short-row sweep on a GFNI-512 host measured them at
+/// 0.8–1.0× the product table on an 8-byte axpy, 1.3–4.8× from 16 to 63
+/// bytes and 10–14× on the 18-source × 32-byte fused gather that
+/// recoding and header elimination run. Every rung computes identical
+/// bytes, so the routing is invisible to results.
 pub const SHORT_ROW_BYTES: usize = 64;
 
 /// GF(2⁸) rows at least this long route the [`Kernel::Swar`] rung to the
@@ -72,14 +80,16 @@ pub const SHORT_ROW_BYTES: usize = 64;
 pub const GF256_SWAR_LONG_ROW_BYTES: usize = 0;
 
 /// The rung a GF(2⁸) bulk operation over `row_bytes` actually executes
-/// when `active` is the selected kernel. This is the single routing
-/// decision both [`crate::Gf256`] slab ops and the pinning tests consult:
-/// short rows always take reference (table-build amortization), and long
-/// rows demote [`Kernel::Swar`] to reference per
+/// when `active` is the selected kernel and `gfni` says whether the SIMD
+/// rung has `GF2P8MULB` ([`crate::simd::has_gfni`]). This is the single
+/// routing decision both [`crate::Gf256`] slab ops and the pinning tests
+/// consult, a pure function of its inputs: rows shorter than
+/// [`SHORT_ROW_BYTES`] take reference unless the SIMD rung runs them
+/// through GFNI, and every [`Kernel::Swar`] row demotes to reference per
 /// [`GF256_SWAR_LONG_ROW_BYTES`].
 #[must_use]
-pub fn gf256_effective_kernel(active: Kernel, row_bytes: usize) -> Kernel {
-    let short = row_bytes < SHORT_ROW_BYTES;
+pub fn gf256_effective_kernel(active: Kernel, row_bytes: usize, gfni: bool) -> Kernel {
+    let short = row_bytes < SHORT_ROW_BYTES && !(active == Kernel::Simd && gfni);
     // With the threshold at zero every SWAR row demotes; written as a
     // saturating comparison so a re-tuned nonzero cutoff needs no code
     // change here.
@@ -281,38 +291,59 @@ mod tests {
         // product table at every GF(2⁸) row length (64 B through 1 MiB),
         // so the demotion is unconditional: no bulk GF(2⁸) op ever runs
         // the SWAR rung, under an explicit Swar selection and a fortiori
-        // under auto-detect. This pins the boundary at zero — the decode
-        // bench shape (1 KiB rows) regressed under the old 4096-byte
-        // cutoff (79.96 vs 126.42 MiB/s).
+        // under auto-detect, with or without GFNI. This pins the boundary
+        // at zero — the decode bench shape (1 KiB rows) regressed under
+        // the old 4096-byte cutoff (79.96 vs 126.42 MiB/s).
         assert_eq!(
             GF256_SWAR_LONG_ROW_BYTES, 0,
             "demotion must be unconditional"
         );
-        for row_bytes in [
-            1usize,
-            SHORT_ROW_BYTES - 1,
-            SHORT_ROW_BYTES,
-            1024,
-            1152,
-            4096,
-            1 << 20,
-        ] {
+        for gfni in [false, true] {
+            for row_bytes in [
+                1usize,
+                SHORT_ROW_BYTES - 1,
+                SHORT_ROW_BYTES,
+                1024,
+                1152,
+                4096,
+                1 << 20,
+            ] {
+                assert_eq!(
+                    gf256_effective_kernel(Kernel::Swar, row_bytes, gfni),
+                    Kernel::Reference,
+                    "gf256 rows of {row_bytes} bytes must not run SWAR (gfni={gfni})"
+                );
+                assert_eq!(
+                    gf256_effective_kernel(Kernel::Reference, row_bytes, gfni),
+                    Kernel::Reference
+                );
+            }
+            // Long rows stay on the SIMD rung either way.
+            for row_bytes in [SHORT_ROW_BYTES, 1024, 1 << 20] {
+                assert_eq!(
+                    gf256_effective_kernel(Kernel::Simd, row_bytes, gfni),
+                    Kernel::Simd
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gf256_short_rows_take_simd_only_with_gfni() {
+        for row_bytes in [0usize, 1, 3, 4, 8, 31, 32, 33, SHORT_ROW_BYTES - 1] {
+            // Without GFNI the SIMD rung would build nibble tables per
+            // multiplier: short rows keep the reference product table.
             assert_eq!(
-                gf256_effective_kernel(Kernel::Swar, row_bytes),
+                gf256_effective_kernel(Kernel::Simd, row_bytes, false),
                 Kernel::Reference,
-                "gf256 rows of {row_bytes} bytes must not run SWAR"
+                "non-GFNI short row of {row_bytes} bytes"
+            );
+            // GF2P8MULB needs no table: short rows run the SIMD rung.
+            assert_eq!(
+                gf256_effective_kernel(Kernel::Simd, row_bytes, true),
+                Kernel::Simd,
+                "GFNI short row of {row_bytes} bytes"
             );
         }
-        // The other rungs are untouched by the SWAR demotion.
-        assert_eq!(gf256_effective_kernel(Kernel::Simd, 1 << 20), Kernel::Simd);
-        assert_eq!(
-            gf256_effective_kernel(Kernel::Reference, 1024),
-            Kernel::Reference
-        );
-        // Short rows keep the PR 2 reference path on every rung.
-        assert_eq!(
-            gf256_effective_kernel(Kernel::Simd, SHORT_ROW_BYTES - 1),
-            Kernel::Reference
-        );
     }
 }

@@ -13,9 +13,22 @@
 //! only on x86-64; other architectures transparently fall back to the SWAR
 //! rung, as does an x86-64 CPU without SSSE3. The detected level can be
 //! forced down with `AG_GF_SIMD=ssse3|avx2|gfni|gfni512` for ladder
-//! benchmarks. Sub-block tails (&lt; 16/32 bytes) run through the SWAR
-//! rung, which produces bit-identical bytes; `proptest_kernels` pins all
-//! rungs to each other across every block-boundary geometry.
+//! benchmarks. Sub-block tails (&lt; 16/32 bytes) of the `PSHUFB` paths run
+//! through scalar nibble-table lookups, which produce bit-identical bytes;
+//! `proptest_kernels` pins all rungs to each other across every
+//! block-boundary geometry.
+//!
+//! GF(2⁸) on GFNI hosts has one short-row family for rows of 1–63 bytes
+//! (the k-symbol coefficient headers every reception eliminates), shared
+//! by both GFNI levels and by the sub-block tails of the long-row kernels.
+//! A row of `n` bytes is covered by two overlapping windows of the widest
+//! size that fits — 32 + 32, 16 + 16, 8 + 8 or 4 + 4 bytes, at offsets `0`
+//! and `n − w` — loaded into registers, multiplied with `GF2P8MULB` and
+//! stored back. Both windows are computed from the row's original bytes
+//! before either store, so the overlap receives the same value twice and
+//! no load or store leaves the row: no masks, no nibble tables. A row of
+//! exactly 32 bytes (the k = 32 header) is one ymm; rows of 1–3 bytes use
+//! the prebuilt product table.
 //!
 //! The fused gather kernel [`gf256_mul_add_multi`] accumulates many source
 //! rows into one destination per memory pass, keeping a tile of the
@@ -40,6 +53,14 @@ pub fn supported() -> bool {
 #[must_use]
 pub fn level_name() -> &'static str {
     detail::level_name()
+}
+
+/// Does the detected (or `AG_GF_SIMD`-forced) level include GFNI? Short
+/// GF(2⁸) rows take the SIMD rung only when it does (see
+/// [`crate::kernel::gf256_effective_kernel`]).
+#[must_use]
+pub fn has_gfni() -> bool {
+    detail::has_gfni()
 }
 
 /// `dst[i] = c · dst[i]` over GF(2⁸), SIMD rung.
@@ -250,6 +271,10 @@ mod detail {
         level() != Level::None
     }
 
+    pub(super) fn has_gfni() -> bool {
+        level() >= Level::Gfni
+    }
+
     pub(super) fn level_name() -> &'static str {
         match level() {
             Level::Gfni512 => "gfni512",
@@ -367,7 +392,7 @@ mod detail {
         }
     }
 
-    /// Scalar nibble-table tail shared by every vector path below.
+    /// Scalar nibble-table tail shared by the `PSHUFB` paths below.
     fn tail_mul_add(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
         for (d, s) in dst.iter_mut().zip(src) {
             *d ^= t.lo[(s & 0xF) as usize] ^ t.hi[(s >> 4) as usize];
@@ -511,14 +536,7 @@ mod detail {
             let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
             _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp), p));
         }
-        // GF2P8MULB needs no tables — only build them if a tail exists.
-        if blocks * 32 < src.len() {
-            tail_mul_add(
-                &gf256_nibble_tables(c),
-                &src[blocks * 32..],
-                &mut dst[blocks * 32..],
-            );
-        }
+        gf256_short_mul_add(c, &src[blocks * 32..], &mut dst[blocks * 32..]);
     }
 
     /// Fused gather over 128-byte destination tiles: the tile lives in four
@@ -577,11 +595,10 @@ mod detail {
 
     /// Fused sub-tile tail shared by both gather kernels: everything past
     /// `base` in 32-byte ymm chunks kept in an accumulator across all
-    /// sources, then a per-source table tail for the last < 32 bytes.
-    /// Short rows (a `k`-byte coefficient slab row is often smaller than a
-    /// full tile) would otherwise fall back to one axpy pass per source —
-    /// the exact read-`dst`-per-source pattern the fused kernel exists to
-    /// avoid.
+    /// sources, then the last < 32 bytes through the short-row windows,
+    /// also fused across sources. Without it, the sub-tile remainder would
+    /// fall back to one axpy pass per source — the exact
+    /// read-`dst`-per-source pattern the fused kernel exists to avoid.
     ///
     /// # Safety
     ///
@@ -609,13 +626,7 @@ mod detail {
             _mm256_storeu_si256(dp.cast(), acc);
             base += 32;
         }
-        if base < rb {
-            for (i, &f) in factors.iter().enumerate() {
-                if f != 0 {
-                    gf256_mul_add_gfni(f, &srcs[i * rb + base..(i + 1) * rb], &mut dst[base..]);
-                }
-            }
-        }
+        gf256_short_multi(factors, srcs, rb, base, &mut dst[base..]);
     }
 
     /// As [`gf256_mul_add_multi_gfni`] with 256-byte tiles in four zmm
@@ -971,7 +982,7 @@ mod detail {
 
     /// As [`gf256_mul_add_block_gfni512`] with four-row × 64-byte ymm
     /// panels (eight ymm accumulators), a 32-byte column pass, and a
-    /// reference product-table scalar tail for the last `rb % 32` bytes.
+    /// short-row gather per panel row for the last `rb % 32` bytes.
     ///
     /// # Safety
     ///
@@ -979,7 +990,7 @@ mod detail {
     /// is `r·c` bytes, `srcs` is `c` rows and `dsts` is `r` rows of `rb`
     /// bytes each (the public wrapper asserts this).
     // SAFETY: unaligned loads/stores only. The tile loops guard
-    // `base + {64,32} <= rb` before touching column `base`; the scalar
+    // `base + {64,32} <= rb` before touching column `base`; the short-row
     // tail and the leftover-row gathers use checked slices. Panel row
     // indices stay `< panels * 4 <= r` and source indices `j < c`, keeping
     // `dp`/`sp`/`cp` offsets inside their slabs per the caller contract.
@@ -1069,22 +1080,16 @@ mod detail {
             }
             base += 32;
         }
-        if base < rb {
-            // Scalar tail through the prebuilt reference product table: no
-            // per-coefficient nibble-table builds for a < 32-byte remnant.
-            for i in 0..panels * 4 {
-                let dst = &mut dsts[i * rb + base..(i + 1) * rb];
-                for j in 0..c {
-                    let f = coefs[i * c + j];
-                    if f != 0 {
-                        crate::reference::gf256_mul_add_slice(
-                            f,
-                            &srcs[j * rb + base..(j + 1) * rb],
-                            dst,
-                        );
-                    }
-                }
-            }
+        // The last `rb % 32` bytes of each panel row: one fused short-row
+        // gather across all sources.
+        for i in 0..panels * 4 {
+            gf256_short_multi(
+                &coefs[i * c..(i + 1) * c],
+                srcs,
+                rb,
+                base,
+                &mut dsts[i * rb + base..(i + 1) * rb],
+            );
         }
         for i in panels * 4..r {
             gf256_mul_add_multi_gfni(
@@ -1097,7 +1102,9 @@ mod detail {
 
     /// Fused scatter: each destination row gets `factors[i] · src` in one
     /// pass with the dispatch and constant splat hoisted out of the row
-    /// loop; `src` stays cache-hot across rows.
+    /// loop; `src` stays cache-hot across rows. The last `rb % 32` bytes of
+    /// every row go in one short-row scatter pass that loads the source
+    /// tail once.
     ///
     /// # Safety
     ///
@@ -1109,25 +1116,31 @@ mod detail {
     unsafe fn gf256_mul_add_scatter_gfni(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
         let rb = src.len();
         let blocks = rb / 32;
-        for (i, &f) in factors.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            let cv = _mm256_set1_epi8(f as i8);
-            let row = &mut dsts[i * rb..(i + 1) * rb];
-            for b in 0..blocks {
-                let sp = src.as_ptr().add(b * 32).cast();
-                let dp: *mut __m256i = row.as_mut_ptr().add(b * 32).cast();
-                let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
-                _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp.cast_const()), p));
-            }
-            if blocks * 32 < rb {
-                gf256_mul_add_gfni(f, &src[blocks * 32..], &mut row[blocks * 32..]);
+        // Rows under one block (the k-byte headers) skip straight to the
+        // short-row pass rather than walking every factor for nothing.
+        if blocks > 0 {
+            for (i, &f) in factors.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                let cv = _mm256_set1_epi8(f as i8);
+                let row = &mut dsts[i * rb..(i + 1) * rb];
+                for b in 0..blocks {
+                    let sp = src.as_ptr().add(b * 32).cast();
+                    let dp: *mut __m256i = row.as_mut_ptr().add(b * 32).cast();
+                    let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
+                    _mm256_storeu_si256(
+                        dp,
+                        _mm256_xor_si256(_mm256_loadu_si256(dp.cast_const()), p),
+                    );
+                }
             }
         }
+        gf256_short_scatter(factors, &src[blocks * 32..], dsts, rb, blocks * 32);
     }
 
-    /// As [`gf256_mul_add_scatter_gfni`] with 64-byte zmm blocks.
+    /// As [`gf256_mul_add_scatter_gfni`] with 64-byte zmm blocks and a
+    /// short-row tail pass over the last `rb % 64` bytes.
     ///
     /// # Safety
     ///
@@ -1139,25 +1152,27 @@ mod detail {
     unsafe fn gf256_mul_add_scatter_gfni512(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
         let rb = src.len();
         let blocks = rb / 64;
-        for (i, &f) in factors.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            let cv = _mm512_set1_epi8(f as i8);
-            let row = &mut dsts[i * rb..(i + 1) * rb];
-            for b in 0..blocks {
-                let sp = src.as_ptr().add(b * 64).cast();
-                let dp = row.as_mut_ptr().add(b * 64);
-                let p = _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp), cv);
-                _mm512_storeu_si512(
-                    dp.cast(),
-                    _mm512_xor_si512(_mm512_loadu_si512(dp.cast()), p),
-                );
-            }
-            if blocks * 64 < rb {
-                gf256_mul_add_gfni(f, &src[blocks * 64..], &mut row[blocks * 64..]);
+        // Rows under one block (the k-byte headers) skip straight to the
+        // short-row pass rather than walking every factor for nothing.
+        if blocks > 0 {
+            for (i, &f) in factors.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                let cv = _mm512_set1_epi8(f as i8);
+                let row = &mut dsts[i * rb..(i + 1) * rb];
+                for b in 0..blocks {
+                    let sp = src.as_ptr().add(b * 64).cast();
+                    let dp = row.as_mut_ptr().add(b * 64);
+                    let p = _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp), cv);
+                    _mm512_storeu_si512(
+                        dp.cast(),
+                        _mm512_xor_si512(_mm512_loadu_si512(dp.cast()), p),
+                    );
+                }
             }
         }
+        gf256_short_scatter(factors, &src[blocks * 64..], dsts, rb, blocks * 64);
     }
 
     /// # Safety
@@ -1174,9 +1189,399 @@ mod detail {
             let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(dp.cast_const()), cv);
             _mm256_storeu_si256(dp, p);
         }
-        if blocks * 32 < dst.len() {
-            tail_mul(&gf256_nibble_tables(c), &mut dst[blocks * 32..]);
+        gf256_short_mul(c, &mut dst[blocks * 32..]);
+    }
+
+    /// Runs `$body` with `$S` bound to the [`Span`] class of an `$n`-byte
+    /// row (`$n < 64`); rows of 1–3 bytes run `$tiny` instead.
+    macro_rules! by_span {
+        ($n:expr, $S:ident => $body:expr, $tiny:expr) => {
+            match $n {
+                0 => {}
+                1..=3 => $tiny,
+                4..=8 => {
+                    type $S = Q4;
+                    $body
+                }
+                9..=16 => {
+                    type $S = Q8;
+                    $body
+                }
+                17..=31 => {
+                    type $S = Y16;
+                    $body
+                }
+                32 => {
+                    type $S = Y;
+                    $body
+                }
+                _ => {
+                    debug_assert!($n <= 64, "short-row windows cover at most 64 bytes");
+                    type $S = Y32;
+                    $body
+                }
+            }
+        };
+    }
+
+    /// A short-row window class: a row of `n` bytes (`w ≤ n ≤ 2w` for the
+    /// class's window width `w`) is covered by two `w`-byte windows at
+    /// offsets `0` and `n − w` (one window when `n` is exactly 32), packed
+    /// into one register value. Both windows are read before either is
+    /// written and every byte of the overlap gets the same value from
+    /// each, so `load` → compute → `store` is exact on any length in range
+    /// and never touches a byte outside the row.
+    trait Span {
+        type V: Reg;
+        /// Loads both windows of the `n`-byte row at `p`.
+        ///
+        /// # Safety
+        ///
+        /// GFNI and AVX2 must be available, `n` must be in the class's
+        /// range and `p..p + n` readable.
+        // SAFETY: declaration only; the contract is stated above.
+        unsafe fn load(p: *const u8, n: usize) -> Self::V;
+        /// Stores both windows of `v` to the `n`-byte row at `p`.
+        ///
+        /// # Safety
+        ///
+        /// As [`Span::load`], with `p..p + n` writable.
+        // SAFETY: declaration only; the contract is stated above.
+        unsafe fn store(p: *mut u8, n: usize, v: Self::V);
+    }
+
+    /// Byte-wise arithmetic on a packed short-row register value.
+    trait Reg: Copy {
+        /// GF(2⁸) product of every byte with `c` (the constant in every
+        /// byte).
+        ///
+        /// # Safety
+        ///
+        /// GFNI and AVX2 must be available.
+        // SAFETY: declaration only; the contract is stated above.
+        unsafe fn mul(self, c: __m256i) -> Self;
+        /// Byte-wise XOR.
+        ///
+        /// # Safety
+        ///
+        /// AVX2 must be available.
+        // SAFETY: declaration only; the contract is stated above.
+        unsafe fn xor(self, other: Self) -> Self;
+    }
+
+    impl Reg for __m128i {
+        // SAFETY: register-only intrinsics; gfni+avx2 per the contract.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn mul(self, c: __m256i) -> Self {
+            _mm_gf2p8mul_epi8(self, _mm256_castsi256_si128(c))
         }
+        // SAFETY: register-only intrinsic; avx2 per the contract.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn xor(self, other: Self) -> Self {
+            _mm_xor_si128(self, other)
+        }
+    }
+
+    impl Reg for __m256i {
+        // SAFETY: register-only intrinsic; gfni+avx2 per the contract.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn mul(self, c: __m256i) -> Self {
+            _mm256_gf2p8mul_epi8(self, c)
+        }
+        // SAFETY: register-only intrinsic; avx2 per the contract.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn xor(self, other: Self) -> Self {
+            _mm256_xor_si256(self, other)
+        }
+    }
+
+    impl Reg for (__m256i, __m256i) {
+        // SAFETY: register-only intrinsics; gfni+avx2 per the contract.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn mul(self, c: __m256i) -> Self {
+            (self.0.mul(c), self.1.mul(c))
+        }
+        // SAFETY: register-only intrinsics; avx2 per the contract.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn xor(self, other: Self) -> Self {
+            (self.0.xor(other.0), self.1.xor(other.1))
+        }
+    }
+
+    /// Rows of 4–8 bytes: two `u32` windows in one xmm.
+    struct Q4;
+    /// Rows of 9–16 bytes: two `u64` windows in one xmm.
+    struct Q8;
+    /// Rows of 17–31 bytes: two 16-byte windows in one ymm.
+    struct Y16;
+    /// Rows of exactly 32 bytes: one ymm. Only the GFNI-512 scatter tail
+    /// hands a helper 32 bytes (a whole k = 32 header row); there `Y32`
+    /// would pay two loads and two multiplies per row.
+    struct Y;
+    /// Rows of 33–63 bytes: two 32-byte windows in two ymm.
+    struct Y32;
+
+    impl Span for Q4 {
+        type V = __m128i;
+        // SAFETY: unaligned 4-byte reads at offsets 0 and `n - 4`; the
+        // caller contract (`4 <= n`, `p..p + n` readable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn load(p: *const u8, n: usize) -> __m128i {
+            let lo = p.cast::<i32>().read_unaligned();
+            let hi = p.add(n - 4).cast::<i32>().read_unaligned();
+            _mm_insert_epi32::<1>(_mm_cvtsi32_si128(lo), hi)
+        }
+        // SAFETY: unaligned 4-byte writes at offsets 0 and `n - 4`; the
+        // caller contract (`4 <= n`, `p..p + n` writable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn store(p: *mut u8, n: usize, v: __m128i) {
+            p.add(n - 4)
+                .cast::<i32>()
+                .write_unaligned(_mm_extract_epi32::<1>(v));
+            p.cast::<i32>().write_unaligned(_mm_cvtsi128_si32(v));
+        }
+    }
+
+    impl Span for Q8 {
+        type V = __m128i;
+        // SAFETY: unaligned 8-byte reads at offsets 0 and `n - 8`; the
+        // caller contract (`8 <= n`, `p..p + n` readable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn load(p: *const u8, n: usize) -> __m128i {
+            let lo = p.cast::<i64>().read_unaligned();
+            let hi = p.add(n - 8).cast::<i64>().read_unaligned();
+            _mm_insert_epi64::<1>(_mm_cvtsi64_si128(lo), hi)
+        }
+        // SAFETY: unaligned 8-byte writes at offsets 0 and `n - 8`; the
+        // caller contract (`8 <= n`, `p..p + n` writable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn store(p: *mut u8, n: usize, v: __m128i) {
+            p.add(n - 8)
+                .cast::<i64>()
+                .write_unaligned(_mm_extract_epi64::<1>(v));
+            p.cast::<i64>().write_unaligned(_mm_cvtsi128_si64(v));
+        }
+    }
+
+    impl Span for Y16 {
+        type V = __m256i;
+        // SAFETY: unaligned 16-byte reads at offsets 0 and `n - 16`; the
+        // caller contract (`16 <= n`, `p..p + n` readable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn load(p: *const u8, n: usize) -> __m256i {
+            _mm256_loadu2_m128i(p.add(n - 16).cast(), p.cast())
+        }
+        // SAFETY: unaligned 16-byte writes at offsets 0 and `n - 16`; the
+        // caller contract (`16 <= n`, `p..p + n` writable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn store(p: *mut u8, n: usize, v: __m256i) {
+            _mm256_storeu2_m128i(p.add(n - 16).cast(), p.cast(), v);
+        }
+    }
+
+    impl Span for Y {
+        type V = __m256i;
+        // SAFETY: one unaligned 32-byte read; the caller contract (`n` in
+        // range, so `n == 32`, and `p..p + n` readable) keeps it in the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn load(p: *const u8, n: usize) -> __m256i {
+            debug_assert_eq!(n, 32);
+            _mm256_loadu_si256(p.cast())
+        }
+        // SAFETY: one unaligned 32-byte write; the caller contract (`n` in
+        // range, so `n == 32`, and `p..p + n` writable) keeps it in the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn store(p: *mut u8, n: usize, v: __m256i) {
+            debug_assert_eq!(n, 32);
+            _mm256_storeu_si256(p.cast(), v);
+        }
+    }
+
+    impl Span for Y32 {
+        type V = (__m256i, __m256i);
+        // SAFETY: unaligned 32-byte reads at offsets 0 and `n - 32`; the
+        // caller contract (`32 <= n`, `p..p + n` readable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn load(p: *const u8, n: usize) -> (__m256i, __m256i) {
+            (
+                _mm256_loadu_si256(p.cast()),
+                _mm256_loadu_si256(p.add(n - 32).cast()),
+            )
+        }
+        // SAFETY: unaligned 32-byte writes at offsets 0 and `n - 32`; the
+        // caller contract (`32 <= n`, `p..p + n` writable) keeps both in
+        // the row.
+        #[inline]
+        #[target_feature(enable = "gfni,avx2")]
+        unsafe fn store(p: *mut u8, n: usize, v: (__m256i, __m256i)) {
+            _mm256_storeu_si256(p.add(n - 32).cast(), v.1);
+            _mm256_storeu_si256(p.cast(), v.0);
+        }
+    }
+
+    /// `dst ^= c · src` over GF(2⁸) for a row of under 64 bytes, through the
+    /// short-row windows (the product table for rows of 1–3 bytes).
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support.
+    // SAFETY: `src` is re-sliced to `n = dst.len()` bytes (panicking if
+    // shorter), so both row pointers cover `n` valid bytes as every `Span`
+    // method requires; `by_span!` picks the class whose window fits `n`.
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn gf256_short_mul_add(c: u8, src: &[u8], dst: &mut [u8]) {
+        let n = dst.len();
+        let src = &src[..n];
+        let cv = _mm256_set1_epi8(c as i8);
+        by_span!(
+            n,
+            S => {
+                let p = S::load(src.as_ptr(), n).mul(cv);
+                let d = dst.as_mut_ptr();
+                S::store(d, n, S::load(d, n).xor(p));
+            },
+            crate::reference::gf256_mul_add_slice(c, src, dst)
+        );
+    }
+
+    /// `dst = c · dst` over GF(2⁸) for a row of under 64 bytes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support.
+    // SAFETY: the row pointer covers `n = dst.len()` valid bytes, as every
+    // `Span` method requires; `by_span!` picks the class whose window
+    // fits `n`.
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn gf256_short_mul(c: u8, dst: &mut [u8]) {
+        let n = dst.len();
+        let cv = _mm256_set1_epi8(c as i8);
+        by_span!(
+            n,
+            S => {
+                let d = dst.as_mut_ptr();
+                S::store(d, n, S::load(d, n).mul(cv));
+            },
+            crate::reference::gf256_mul_slice(c, dst)
+        );
+    }
+
+    /// Fused gather `dst ^= Σᵢ factors[i] · srcs[i·stride + base ..][..n]`
+    /// over GF(2⁸) for `n = dst.len()` under 64 bytes: `dst` stays in
+    /// registers across all sources. Zero factors are skipped.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support.
+    // SAFETY: the assert bounds the last source window,
+    // `(factors.len() - 1) * stride + base + n <= srcs.len()`, and source
+    // offsets grow with `i < factors.len()`, so every `sp` covers `n`
+    // valid bytes of `srcs`; `dst` covers `n` bytes. `by_span!` picks the
+    // class whose window fits `n`.
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn gf256_short_multi(
+        factors: &[u8],
+        srcs: &[u8],
+        stride: usize,
+        base: usize,
+        dst: &mut [u8],
+    ) {
+        let n = dst.len();
+        if n == 0 || factors.is_empty() {
+            return;
+        }
+        assert!(
+            (factors.len() - 1) * stride + base + n <= srcs.len(),
+            "short gather rows must lie inside srcs"
+        );
+        by_span!(
+            n,
+            S => {
+                let d = dst.as_mut_ptr();
+                let mut acc = S::load(d, n);
+                for (i, &f) in factors.iter().enumerate() {
+                    if f != 0 {
+                        let sp = srcs.as_ptr().add(i * stride + base);
+                        let p = S::load(sp, n).mul(_mm256_set1_epi8(f as i8));
+                        acc = acc.xor(p);
+                    }
+                }
+                S::store(d, n, acc);
+            },
+            for (i, &f) in factors.iter().enumerate() {
+                let row = &srcs[i * stride + base..][..n];
+                crate::reference::gf256_mul_add_slice(f, row, dst);
+            }
+        );
+    }
+
+    /// Fused scatter `dsts[i·stride + base ..][..n] ^= factors[i] · src`
+    /// over GF(2⁸) for `n = src.len()` under 64 bytes: `src` is loaded once
+    /// for all rows. Zero factors are skipped.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support.
+    // SAFETY: the assert bounds the last destination window,
+    // `(factors.len() - 1) * stride + base + n <= dsts.len()`, and row
+    // offsets grow with `i < factors.len()`, so every `dp` covers `n`
+    // valid bytes of `dsts`; `src` covers `n` bytes. `by_span!` picks the
+    // class whose window fits `n`.
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn gf256_short_scatter(
+        factors: &[u8],
+        src: &[u8],
+        dsts: &mut [u8],
+        stride: usize,
+        base: usize,
+    ) {
+        let n = src.len();
+        if n == 0 || factors.is_empty() {
+            return;
+        }
+        assert!(
+            (factors.len() - 1) * stride + base + n <= dsts.len(),
+            "short scatter rows must lie inside dsts"
+        );
+        by_span!(
+            n,
+            S => {
+                let s = S::load(src.as_ptr(), n);
+                for (i, &f) in factors.iter().enumerate() {
+                    if f != 0 {
+                        let dp = dsts.as_mut_ptr().add(i * stride + base);
+                        let p = s.mul(_mm256_set1_epi8(f as i8));
+                        S::store(dp, n, S::load(dp, n).xor(p));
+                    }
+                }
+            },
+            for (i, &f) in factors.iter().enumerate() {
+                let row = &mut dsts[i * stride + base..][..n];
+                crate::reference::gf256_mul_add_slice(f, src, row);
+            }
+        );
     }
 }
 
@@ -1191,6 +1596,10 @@ mod detail {
 
     pub(super) fn level_name() -> &'static str {
         "swar-fallback"
+    }
+
+    pub(super) fn has_gfni() -> bool {
+        false
     }
 
     pub(super) fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
